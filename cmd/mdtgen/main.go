@@ -1,12 +1,13 @@
 // Command mdtgen generates a synthetic MDT log dataset: a full simulated
 // day (or any duration) of event-driven taxi telemetry in the Table 2 text
-// format or the binary store format — or replays it in timestamp order
-// against a live queued /ingest endpoint.
+// format or as a binary segment file (the CRC-framed format the WAL seals)
+// — or replays it in timestamp order against a live queued /ingest
+// endpoint.
 //
 // Usage:
 //
 //	mdtgen -o day.log                        # text format
-//	mdtgen -o day.tqs -format store          # binary store
+//	mdtgen -o day.tqs -format store          # binary segment file
 //	mdtgen -scale 0.25 -taxis 1000 -faults=false -duration 6h
 //	mdtgen -stream http://localhost:8080/ingest -rate 5000
 package main
@@ -229,15 +230,12 @@ func main() {
 			log.Fatal(err)
 		}
 	case "store":
-		st := store.New()
-		if err := st.AppendAll(res.Records); err != nil {
-			log.Fatal(err)
-		}
+		seg := store.EncodeSegment(res.Records)
 		if *out == "-" {
-			if err := st.Save(os.Stdout); err != nil {
+			if _, err := os.Stdout.Write(seg); err != nil {
 				log.Fatal(err)
 			}
-		} else if err := st.SaveFile(*out); err != nil {
+		} else if err := store.SaveFile(store.OS, *out, seg); err != nil {
 			// Atomic temp-file + rename: a crash never leaves a torn file.
 			log.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 // Command queuectl runs the two-tier queue analytic engine over an MDT log
-// dataset (text or store format) and prints the detected queue spots with
-// their per-slot queue contexts. Datasets spanning several days are
-// analyzed day by day; the multi-day spot registry (§7.1) and queue-type
-// transition report are printed in addition.
+// dataset (text, or a binary segment file with -format store) and prints
+// the detected queue spots with their per-slot queue contexts. Datasets
+// spanning several days are analyzed day by day; the multi-day spot
+// registry (§7.1) and queue-type transition report are printed in
+// addition.
 //
 // Usage:
 //
@@ -214,16 +215,7 @@ func readRecords(path, format string) ([]mdt.Record, error) {
 	case "text":
 		return mdt.ReadText(f)
 	case "store":
-		st, err := store.Load(f)
-		if err != nil {
-			return nil, err
-		}
-		var recs []mdt.Record
-		st.Scan(time.Time{}, time.Unix(1<<40, 0), func(r mdt.Record) bool {
-			recs = append(recs, r)
-			return true
-		})
-		return recs, nil
+		return store.ReadSegment(f)
 	default:
 		return nil, fmt.Errorf("unknown format %q (want text or store)", format)
 	}

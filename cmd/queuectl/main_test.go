@@ -60,18 +60,9 @@ func TestReadRecordsTextAndStore(t *testing.T) {
 	}
 
 	storePath := filepath.Join(dir, "day.tqs")
-	st := store.New()
-	if err := st.AppendAll(recs); err != nil {
+	if err := store.SaveFile(store.OS, storePath, store.EncodeSegment(recs)); err != nil {
 		t.Fatal(err)
 	}
-	f, err = os.Create(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	got, err = readRecords(storePath, "store")
 	if err != nil {
 		t.Fatal(err)

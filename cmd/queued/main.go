@@ -53,10 +53,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -241,13 +243,16 @@ func main() {
 	liveSpotWindow := flag.Duration("live-spot-window", 3*time.Hour, "live spot discovery: sliding pickup window")
 	liveSpotMinPts := flag.Int("live-spot-minpts", 0, "live spot discovery: DBSCAN min-points over the window (0 = paper default 50)")
 	walDir := flag.String("wal", "", "live mode: WAL directory (empty = durability off)")
-	checkpoint := flag.Int("checkpoint", 4096, "live mode: records between WAL checkpoints (segment seals)")
 	syncEvery := flag.Int("sync-every", 0, "live mode: WAL group-commit batch in records, the crash-loss window (0 = default)")
-	segmentBytes := flag.Int64("segment-bytes", 0, "live mode: WAL segment rotation size in bytes (0 = default 4MiB)")
+	segmentBytes := flag.Int64("segment-bytes", 0, "live mode: WAL segment seal size in bytes (0 = default 4MiB)")
 	histDir := flag.String("history", "", "directory for the columnar slot-context history store (enables /history, /heatmap, /transitions)")
-	fcDir := flag.String("forecast", "", "directory for forecast profile snapshots (empty = profiles learned in memory only)")
 	withPprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof")
 	flag.Parse()
+
+	// Installed first, so a signal during the start-up analysis or WAL
+	// replay is held until serving starts and then shuts down cleanly.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	srv := newServer(obs.Default)
 	log.Printf("queued: analyzing initial day (scale %.2f)...", *scale)
@@ -268,16 +273,15 @@ func main() {
 			*histDir, st.Blocks, st.Records)
 	}
 
-	// The forecast learner always runs (memory-only without -forecast):
-	// /forecast and the ETA-aware /recommend ranking work in every mode.
-	fc, err := newForecastLearner(*fcDir, srv.result(), obs.Default)
+	// The forecast learner always runs: /forecast and the ETA-aware
+	// /recommend ranking work in every mode. Its profiles are a pure
+	// function of the history, rebuilt here on every start.
+	fc, err := newForecastLearner(srv.result(), obs.Default)
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv.fc = fc
 	if hist != nil {
-		// Seed the profiles from every recorded day; the per-cell day
-		// watermarks make this idempotent over a recovered snapshot.
 		if err := fc.BackfillHistory(hist); err != nil {
 			log.Printf("queued: forecast backfill: %v", err)
 		}
@@ -301,16 +305,15 @@ func main() {
 			*refresh = 0
 		}
 		cfg := ingest.Config{
-			Stream:          liveStreamConfig(srv.result()),
-			Clean:           clean.Config{ValidFrame: citymap.Island},
-			Shards:          *shards,
-			QueueDepth:      *queueDepth,
-			Policy:          policy,
-			WALDir:          *walDir,
-			CheckpointEvery: *checkpoint,
-			SyncEvery:       *syncEvery,
-			SegmentBytes:    *segmentBytes,
-			Metrics:         obs.Default, // one process-wide /metrics scrape
+			Stream:       liveStreamConfig(srv.result()),
+			Clean:        clean.Config{ValidFrame: citymap.Island},
+			Shards:       *shards,
+			QueueDepth:   *queueDepth,
+			Policy:       policy,
+			WALDir:       *walDir,
+			SyncEvery:    *syncEvery,
+			SegmentBytes: *segmentBytes,
+			Metrics:      obs.Default, // one process-wide /metrics scrape
 		}
 		if *liveSpots {
 			det := core.DefaultLiveDetectorConfig()
@@ -356,24 +359,6 @@ func main() {
 			}
 			return time.Time{}, false
 		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			log.Printf("queued: draining ingest shards...")
-			if err := svc.Close(); err != nil {
-				log.Printf("queued: close: %v", err)
-			}
-			if hist != nil {
-				if err := hist.Close(); err != nil {
-					log.Printf("queued: history close: %v", err)
-				}
-			}
-			if err := fc.Close(); err != nil {
-				log.Printf("queued: forecast close: %v", err)
-			}
-			os.Exit(0)
-		}()
 		go pw.run()
 		log.Printf("queued: live ingest on /ingest (%d shards, %s)", *shards, policy)
 	}
@@ -447,6 +432,73 @@ func main() {
 		liveSvc = liveSrv.svc
 	}
 	registerOps(mux, srv, liveSvc, obs.Default, *withPprof)
-	log.Printf("queued: listening on %s", *addr)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+
+	// Shutdown order: stop taking requests, drain the ingest shards (their
+	// final watermark advance appends to the history), then close the
+	// history store.
+	var closers []func() error
+	if liveSvc != nil {
+		closers = append(closers, liveSvc.Close)
+	}
+	if hist != nil {
+		closers = append(closers, hist.Close)
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("queued: listening on %s", ln.Addr())
+	if err := serveUntilSignal(newHTTPServer(mux), ln, sig, closers...); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// HTTP server limits. ReadTimeout and WriteTimeout stay unset on purpose:
+// a backpressured /ingest POST may wait up to the ingest BlockTimeout
+// before it is answered, and /ingest/flush can run for seconds, so a
+// whole-request deadline would cut legitimate requests. The header
+// deadline still cuts off a client that trickles its request header.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+	// shutdownTimeout bounds how long in-flight requests may drain.
+	shutdownTimeout = 10 * time.Second
+)
+
+// newHTTPServer wraps h with the server limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
+// serveUntilSignal serves hs on ln until a signal arrives on sig, then
+// shuts down: the HTTP server first (in-flight requests drain, bounded by
+// shutdownTimeout), then each closer in order. A signal-driven shutdown
+// returns nil even when a closer fails (the failure is logged), so the
+// process exits 0; only a serve failure is returned.
+func serveUntilSignal(hs *http.Server, ln net.Listener, sig <-chan os.Signal, closers ...func() error) error {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case s := <-sig:
+		log.Printf("queued: %v: shutting down", s)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		log.Printf("queued: http shutdown: %v", err)
+	}
+	for _, c := range closers {
+		if err := c(); err != nil {
+			log.Printf("queued: close: %v", err)
+		}
+	}
+	return nil
 }

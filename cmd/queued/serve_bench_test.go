@@ -370,7 +370,7 @@ func BenchmarkServeContextLocked(b *testing.B) {
 // /recommend ranks ETA-aware and /forecast answers from real profiles.
 func (e *serveEnv) withForecast(tb testing.TB) *forecastServer {
 	tb.Helper()
-	fc, err := newForecastLearner("", e.srv.result(), obs.NewRegistry())
+	fc, err := newForecastLearner(e.srv.result(), obs.NewRegistry())
 	if err != nil {
 		tb.Fatal(err)
 	}

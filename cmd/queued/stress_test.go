@@ -22,7 +22,7 @@ import (
 // lock-free read path.
 func TestServeRaceStress(t *testing.T) {
 	env := newServeEnv(t, false)
-	fc, err := newForecastLearner("", env.srv.result(), obs.NewRegistry())
+	fc, err := newForecastLearner(env.srv.result(), obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

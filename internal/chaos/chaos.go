@@ -10,7 +10,7 @@
 //     writes and mid-body cuts — the flaky-network half.
 //   - Faults.FS wraps a store.FS with short writes, silent torn tails,
 //     fsync errors and rename failures — the bad-disk half, aimed at the
-//     ingest WAL checkpoint path.
+//     ingest WAL, the history store and store.SaveFile.
 //
 // Every fault decision comes from one seeded PRNG behind a mutex, so a
 // given seed produces the same decision sequence for the same call
@@ -40,7 +40,7 @@ type Config struct {
 	CutBodyProb      float64       // RoundTripper: cut the response body mid-read
 	RefuseProb       float64       // RoundTripper: fail the request before dialing
 
-	// Filesystem faults — FS (the WAL checkpoint path).
+	// Filesystem faults — FS (the durable write paths).
 	ShortWriteProb float64 // write a prefix and report an error
 	SilentTornProb float64 // write a prefix, report success: a torn tail after rename
 	SyncErrProb    float64 // fsync reports an error

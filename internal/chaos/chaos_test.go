@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
@@ -15,20 +16,26 @@ import (
 	"taxiqueue/internal/store"
 )
 
-func testStore(t *testing.T, n int) *store.Store {
-	t.Helper()
-	s := store.New()
+// testSegment encodes n records of one taxi as a segment file.
+func testSegment(n int) []byte {
+	recs := make([]mdt.Record, n)
 	base := time.Date(2026, 1, 5, 6, 0, 0, 0, time.UTC)
-	for i := 0; i < n; i++ {
-		err := s.Append(mdt.Record{
+	for i := range recs {
+		recs[i] = mdt.Record{
 			Time: base.Add(time.Duration(i) * time.Second), TaxiID: "SH0001A",
 			Pos: geo.Point{Lat: 1.3, Lon: 103.8}, Speed: 30, State: mdt.Free,
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
-	return s
+	return store.EncodeSegment(recs)
+}
+
+// readSegment reads the segment file at path strictly.
+func readSegment(path string) ([]mdt.Record, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return store.ReadSegment(bytes.NewReader(data))
 }
 
 // TestDeterministicDecisions: one seed, one decision sequence — the whole
@@ -83,9 +90,8 @@ func TestDisabledPassesThrough(t *testing.T) {
 // the atomicity contract under a sick disk.
 func TestFSShortWriteFailsSaveKeepsCommitted(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.tqs")
-	s := testStore(t, 100)
-	if err := s.SaveFile(path); err != nil {
+	path := filepath.Join(dir, "day.tqs")
+	if err := store.SaveFile(store.OS, path, testSegment(100)); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -94,7 +100,7 @@ func TestFSShortWriteFailsSaveKeepsCommitted(t *testing.T) {
 	}
 
 	f := New(Config{Seed: 1, ShortWriteProb: 1})
-	if err := s.SaveFileFS(f.FS(nil), path); !errors.Is(err, ErrInjected) {
+	if err := store.SaveFile(f.FS(nil), path, testSegment(200)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("save through a short-writing disk: %v, want injected fault", err)
 	}
 	if f.Count("fs_short_write") == 0 {
@@ -116,59 +122,52 @@ func TestFSShortWriteFailsSaveKeepsCommitted(t *testing.T) {
 // committed copy alone.
 func TestFSRenameFailure(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.tqs")
-	s := testStore(t, 50)
-	if err := s.SaveFile(path); err != nil {
+	path := filepath.Join(dir, "day.tqs")
+	if err := store.SaveFile(store.OS, path, testSegment(50)); err != nil {
 		t.Fatal(err)
 	}
 	f := New(Config{Seed: 1, RenameErrProb: 1})
-	if err := s.SaveFileFS(f.FS(nil), path); !errors.Is(err, ErrInjected) {
+	if err := store.SaveFile(f.FS(nil), path, testSegment(80)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("save through failing rename: %v, want injected fault", err)
 	}
-	if st, err := store.LoadFile(path); err != nil || st.Len() != 50 {
-		t.Fatalf("committed file damaged after failed rename: %v", err)
+	if recs, err := readSegment(path); err != nil || len(recs) != 50 {
+		t.Fatalf("committed file damaged after failed rename: %d records, %v", len(recs), err)
 	}
 }
 
 // TestFSSilentTornTailIsRecoverable: the nastiest disk fault — a save that
-// reports success but leaves a torn file — must be exactly the damage
-// store.Recover tolerates.
+// reports success but leaves a torn file — is caught by the strict read,
+// and is exactly the damage WAL recovery tolerates: the same bytes as a
+// log's last segment replay a clean prefix and report the truncation.
 func TestFSSilentTornTailIsRecoverable(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.tqs")
-	s := testStore(t, 200)
+	path := filepath.Join(dir, "seg-000000001-000000001.seg")
 	f := New(Config{Seed: 3, SilentTornProb: 1})
-	if err := s.SaveFileFS(f.FS(nil), path); err != nil {
+	if err := store.SaveFile(f.FS(nil), path, testSegment(200)); err != nil {
 		t.Fatalf("silent torn save must report success, got %v", err)
 	}
 	if f.Count("fs_silent_torn") == 0 {
 		t.Fatal("silent torn fault not counted")
 	}
-	if _, err := store.LoadFile(path); err == nil {
-		t.Fatal("strict load accepted a torn file")
+	if recs, err := readSegment(path); err == nil {
+		t.Fatalf("strict read accepted a torn file (%d records)", len(recs))
 	}
-	got, rec, err := store.RecoverFile(path)
+	n := 0
+	w, rec, err := store.OpenWAL(dir, store.WALConfig{}, func(mdt.Record) { n++ })
 	if err != nil {
-		// A tear inside the 8-byte header is legitimately hopeless;
-		// anything else must recover.
-		if st, statErr := os.Stat(path); statErr == nil && st.Size() >= 8 {
-			t.Fatalf("recover failed on a torn file with an intact header: %v", err)
-		}
-		return
+		t.Fatalf("WAL recovery over a torn last segment: %v", err)
 	}
-	if !rec.Truncated() {
-		t.Fatal("recovery did not notice the torn tail")
-	}
-	if got.Len() >= 200 {
-		t.Fatalf("recovered %d records from a torn file of 200", got.Len())
+	defer w.Close()
+	if !rec.Truncated() || n >= 200 {
+		t.Fatalf("recovered %d of 200 records, truncated=%v", n, rec.Truncated())
 	}
 }
 
 // TestTearTail: the deterministic tail cutter used by the e2e scenario.
 func TestTearTail(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.tqs")
-	if err := testStore(t, 100).SaveFile(path); err != nil {
+	path := filepath.Join(dir, "day.tqs")
+	if err := store.SaveFile(store.OS, path, testSegment(100)); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := os.Stat(path)
@@ -179,11 +178,8 @@ func TestTearTail(t *testing.T) {
 	if after.Size() != before.Size()-9 {
 		t.Fatalf("size %d after tearing 9 bytes from %d", after.Size(), before.Size())
 	}
-	if _, err := store.LoadFile(path); err == nil {
-		t.Fatal("strict load accepted the torn file")
-	}
-	if st, rec, err := store.RecoverFile(path); err != nil || !rec.Truncated() || st.Len() == 0 {
-		t.Fatalf("recover over torn tail: %v (truncated=%v, %d records)", err, rec.Truncated(), st.Len())
+	if _, err := readSegment(path); err == nil {
+		t.Fatal("strict read accepted the torn file")
 	}
 	// Tearing more than the file holds clamps to empty.
 	if err := TearTail(path, 1<<30); err != nil {

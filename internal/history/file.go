@@ -3,25 +3,28 @@ package history
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"taxiqueue/internal/store"
 )
 
-// On-disk layout. History lives in generation files hist-<gen>.hb:
+// On-disk layout. History lives in generation files hist-<gen>.hb, each
+// the 8-byte magic followed by store frames (internal/store/frame.go):
 //
-//	magic   "TQHIST1\n" (8 bytes)
-//	stamp   uvarint slots, uvarint slotLen ns, uvarint nspots,
-//	        grid start UnixNano (8 bytes LE), Factor + IntervalFactor
+//	magic   "TQHIST2\n"
+//	frame   header: uvarint slots, uvarint slotLen ns, uvarint nspots,
+//	        uvarint grid start UnixNano, Factor + IntervalFactor
 //	        (float64 LE each) — a store may only recover files written
-//	        under its exact configuration
-//	base    uvarint baseCount
-//	frames  4-byte LE payload length, 4-byte LE CRC32 (IEEE), payload
+//	        under its exact configuration — then uvarint baseCount
+//	frames  one per sealed block, the encoded block payload
 //
 // store.FS exposes no append-open, so a restart continues into a *new*
 // generation whose baseCount says how many logical blocks the earlier
@@ -30,19 +33,14 @@ import (
 // error (rotateLocked) has baseCount = 0 and re-frames every block, after
 // which the older generations are removed. Recovery walks generations
 // ascending, resets the block list to each file's baseCount, and appends
-// its frames; the first damaged frame (bad length, CRC or decode) cuts
-// the tail — the file is truncated at the last clean frame, later
+// its frames; the first damaged frame (bad length, checksum or summary)
+// cuts the tail — the file is truncated at the last clean frame, later
 // generations are removed, and the cut is counted. Because a rewrite
 // generation frames blocks in logical order, a crash mid-rewrite leaves a
 // clean prefix that is also a logical clean prefix.
-const (
-	histMagic    = "TQHIST1\n"
-	maxFrameSize = 1 << 30
-	// maxHeaderSize bounds the variable-length file header: magic (8) +
-	// three uvarints (≤10 each) + three fixed 8-byte stamps + the
-	// baseCount uvarint (≤10) = 72; rounded up.
-	maxHeaderSize = 96
-)
+const histMagic = "TQHIST2\n"
+
+var errTornHeader = errors.New("history: damaged generation header")
 
 func genFileName(gen int) string { return fmt.Sprintf("hist-%d.hb", gen) }
 
@@ -58,32 +56,23 @@ func genOf(name string) (int, bool) {
 	return n, true
 }
 
-// headerBytes renders magic + config stamp + baseCount.
+// headerBytes renders the magic and the header frame.
 func (s *Store) headerBytes(baseCount int) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, histMagic...)
-	buf = binary.AppendUvarint(buf, uint64(s.cfg.Grid.Slots))
-	buf = binary.AppendUvarint(buf, uint64(s.cfg.Grid.SlotLen))
-	buf = binary.AppendUvarint(buf, uint64(len(s.cfg.Spots)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.cfg.Grid.Start.UnixNano()))
-	buf = appendF64(buf, s.cfg.Amplify.Factor)
-	buf = appendF64(buf, s.cfg.Amplify.IntervalFactor)
-	buf = binary.AppendUvarint(buf, uint64(baseCount))
-	return buf
-}
-
-func frameBytes(payload []byte) []byte {
-	buf := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	stamp := make([]byte, 0, 64)
+	stamp = binary.AppendUvarint(stamp, uint64(s.cfg.Grid.Slots))
+	stamp = binary.AppendUvarint(stamp, uint64(s.cfg.Grid.SlotLen))
+	stamp = binary.AppendUvarint(stamp, uint64(len(s.cfg.Spots)))
+	stamp = binary.AppendUvarint(stamp, uint64(s.cfg.Grid.Start.UnixNano()))
+	stamp = appendF64(stamp, s.cfg.Amplify.Factor)
+	stamp = appendF64(stamp, s.cfg.Amplify.IntervalFactor)
+	stamp = binary.AppendUvarint(stamp, uint64(baseCount))
+	return store.AppendFrame([]byte(histMagic), stamp)
 }
 
 // failLocked poisons the current generation after a write/sync error: the
 // file's tail is untrustworthy, so it is abandoned and the next seal
 // rewrites everything into a fresh generation.
 func (s *Store) failLocked(err error) {
-	_ = err
 	s.met.writeErrs.Inc()
 	if s.file != nil {
 		_ = s.file.Close()
@@ -114,36 +103,27 @@ func (s *Store) createGenLocked(baseCount int) bool {
 	return true
 }
 
-// appendFrameLocked frames, writes and syncs one block payload.
-func (s *Store) appendFrameLocked(payload []byte) bool {
-	frame := frameBytes(payload)
-	if _, err := s.file.Write(frame); err != nil {
-		s.failLocked(err)
-		return false
-	}
-	if err := s.file.Sync(); err != nil {
-		s.failLocked(err)
-		return false
-	}
-	s.bytes += int64(len(frame))
-	s.met.bytes.Set(s.bytes)
-	return true
-}
-
-// persistLocked makes the block just appended to s.blocks durable.
+// persistLocked makes the block just appended to s.blocks durable: one
+// frame, written and synced.
 func (s *Store) persistLocked(b *block) {
 	if s.needRewrite {
 		s.rotateLocked()
 		return // the rotate covered b (or failed and stays poisoned)
 	}
-	if s.file == nil {
-		if !s.createGenLocked(s.durable) {
-			return
-		}
-	}
-	if !s.appendFrameLocked(b.payload) {
+	if s.file == nil && !s.createGenLocked(s.durable) {
 		return
 	}
+	frame := store.AppendFrame(nil, b.payload)
+	if _, err := s.file.Write(frame); err != nil {
+		s.failLocked(err)
+		return
+	}
+	if err := s.file.Sync(); err != nil {
+		s.failLocked(err)
+		return
+	}
+	s.bytes += int64(len(frame))
+	s.met.bytes.Set(s.bytes)
 	s.durable++
 }
 
@@ -183,23 +163,11 @@ func (s *Store) rotateLocked() {
 		_ = s.file.Close()
 		s.file = nil
 	}
-	gen := s.gen
-	s.gen++
-	name := filepath.Join(s.cfg.Dir, genFileName(gen))
-	f, err := s.cfg.FS.Create(name)
-	if err != nil {
-		s.failLocked(err)
+	if !s.createGenLocked(0) {
 		return
 	}
-	s.file = f
-	s.genFiles = append(s.genFiles, name)
-	bytes := int64(0)
-	hdr := s.headerBytes(0)
-	if _, err := f.Write(hdr); err != nil {
-		s.failLocked(err)
-		return
-	}
-	bytes += int64(len(hdr))
+	f, name := s.file, s.genFiles[len(s.genFiles)-1]
+	bytes := int64(len(s.headerBytes(0)))
 	oldFiles := make(map[string]*os.File)
 	defer func() {
 		for _, of := range oldFiles {
@@ -213,16 +181,13 @@ func (s *Store) rotateLocked() {
 			s.failLocked(err)
 			return
 		}
-		frame := frameBytes(payload)
+		frame := store.AppendFrame(nil, payload)
 		if _, err := f.Write(frame); err != nil {
 			s.failLocked(err)
 			return
 		}
 		if b.payload == nil {
-			newRefs[b] = &fileRef{
-				name: name, off: bytes + 8, size: len(payload),
-				crc: crc32.ChecksumIEEE(payload),
-			}
+			newRefs[b] = &fileRef{name: name, off: bytes, size: len(payload)}
 		}
 		bytes += int64(len(frame))
 	}
@@ -267,7 +232,7 @@ func (s *Store) syncLocked() {
 
 // recover loads the generation files under cfg.Dir, keeping the longest
 // clean prefix of blocks. Damage (a torn header, an impossible baseCount,
-// a frame with a bad length/CRC or an unparsable summary) truncates the
+// a frame with a bad length/checksum or an unparsable summary) truncates the
 // damaged file at its last clean frame, removes all later generations,
 // and counts one truncation; a complete header written under a different
 // configuration is a hard error. Reads and repairs use the real
@@ -275,10 +240,10 @@ func (s *Store) syncLocked() {
 // cfg.FS, mirroring the WAL.
 //
 // Recovery is lazy: every frame is streamed through a reused buffer and
-// CRC-checked exactly as before, but only the summary prefix is decoded —
-// the columns stay on disk behind a fileRef and materialize on first use
-// (see lazy.go). Open-time memory is therefore proportional to the block
-// count, not the record count.
+// checksummed, but only the summary prefix is decoded — the columns stay
+// on disk behind a fileRef and materialize on first use (see lazy.go).
+// Open-time memory is therefore proportional to the block count, not the
+// record count.
 func (s *Store) recover() error {
 	ents, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -295,35 +260,27 @@ func (s *Store) recover() error {
 		s.gen = gens[len(gens)-1] + 1
 	}
 	damaged := false
-	for _, g := range gens {
-		name := filepath.Join(s.cfg.Dir, genFileName(g))
+	for _, gen := range gens {
+		name := filepath.Join(s.cfg.Dir, genFileName(gen))
 		if damaged {
 			_ = os.Remove(name)
 			continue
 		}
-		kept, size, blocks, hardErr := s.recoverGen(name)
-		if hardErr != nil {
-			return hardErr
+		g, kept, cut, err := s.recoverGen(name)
+		if err != nil {
+			return err
 		}
-		if blocks == nil {
-			// Unusable header: drop the file entirely.
-			_ = os.Remove(name)
-			damaged = true
-			s.met.truncations.Inc()
-			continue
-		}
-		base := blocks.baseCount
-		if base > len(s.blocks) {
-			// Claims a longer durable prefix than exists — the earlier
-			// generations were cut below what this one assumed.
+		if g == nil || g.baseCount > len(s.blocks) {
+			// An unusable header, or one claiming a longer durable prefix
+			// than the earlier generations kept: drop the file entirely.
 			_ = os.Remove(name)
 			damaged = true
 			s.met.truncations.Inc()
 			continue
 		}
 		// A rewrite generation supersedes everything beyond its base.
-		s.blocks = append(s.blocks[:base], blocks.frames...)
-		if kept < size {
+		s.blocks = append(s.blocks[:g.baseCount], g.frames...)
+		if cut {
 			if err := os.Truncate(name, kept); err != nil {
 				return fmt.Errorf("history: truncate %s: %w", name, err)
 			}
@@ -331,13 +288,7 @@ func (s *Store) recover() error {
 			s.met.truncations.Inc()
 		}
 		s.genFiles = append(s.genFiles, name)
-	}
-	// Byte accounting: sum the surviving generation file sizes.
-	s.bytes = 0
-	for _, name := range s.genFiles {
-		if fi, err := os.Stat(name); err == nil {
-			s.bytes += fi.Size()
-		}
+		s.bytes += kept
 	}
 	return nil
 }
@@ -348,40 +299,63 @@ type recoveredGen struct {
 	frames    []*block
 }
 
-// recoverGen streams one generation file: header check, then per frame a
-// CRC check and a summary-prefix parse into a lazy block. Returns the
-// clean byte length, the file size, the parsed content (nil when the
-// header itself is unusable), and a hard error only for a complete header
-// stamped with a different configuration (or an unreadable file).
-func (s *Store) recoverGen(name string) (int64, int64, *recoveredGen, error) {
+// recoverGen streams one generation file through the frame scanner: the
+// first frame is the header, every later one a block whose summary prefix
+// is parsed into a lazy block. It returns the parsed content (nil when the
+// header itself is unusable), the clean byte length and whether damage
+// ended the scan early. The error is reserved for a foreign file, a header
+// stamped with a different configuration, or an unreadable file.
+func (s *Store) recoverGen(name string) (*recoveredGen, int64, bool, error) {
 	f, err := os.Open(name)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("history: recover %s: %w", name, err)
+		return nil, 0, false, fmt.Errorf("history: recover %s: %w", name, err)
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("history: recover %s: %w", name, err)
-	}
-	size := fi.Size()
 	br := bufio.NewReaderSize(f, 64<<10)
-	hdr, _ := br.Peek(maxHeaderSize) // short near EOF; the parse bounds-checks
-	if len(hdr) < len(histMagic) {
-		return 0, size, nil, nil // torn creation
+	magic := make([]byte, len(histMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return nil, 0, true, nil // torn creation
 	}
-	if string(hdr[:len(histMagic)]) != histMagic {
-		return 0, size, nil, fmt.Errorf("history: %s: not a history file", name)
+	if string(magic) != histMagic {
+		return nil, 0, false, fmt.Errorf("history: %s: not a %s history file", name, strings.TrimSpace(histMagic))
 	}
-	r := &byteReader{buf: hdr, off: len(histMagic)}
+	var g *recoveredGen
+	var hardErr error
+	clean, damage := store.ScanFrames(br, func(off int64, payload []byte) error {
+		if g == nil {
+			if g, hardErr = s.parseHeader(name, payload); g == nil {
+				return errTornHeader
+			}
+			return nil
+		}
+		b, err := parseSummaryBlock(payload)
+		if err != nil {
+			return err
+		}
+		b.ref.Store(&fileRef{name: name, off: int64(len(histMagic)) + off, size: len(payload)})
+		g.frames = append(g.frames, b)
+		return nil
+	})
+	if hardErr != nil {
+		return nil, 0, false, hardErr
+	}
+	return g, int64(len(histMagic)) + clean, damage != nil, nil
+}
+
+// parseHeader checks a header frame's configuration stamp and returns the
+// generation's baseCount. It returns nil and no error for an unparsable
+// header, and a hard error for one written under another configuration.
+func (s *Store) parseHeader(name string, payload []byte) (*recoveredGen, error) {
+	r := &byteReader{buf: payload}
 	slots := r.uvarint()
 	slotLen := r.uvarint()
 	nspots := r.uvarint()
-	start := r.f64bits()
+	start := r.uvarint()
 	factor := r.f64()
 	ifactor := r.f64()
 	base := r.uvarint()
-	if r.err != nil {
-		return 0, size, nil, nil // torn header
+	if r.err != nil || r.off != len(payload) || base > math.MaxInt32 {
+		return nil, nil
 	}
 	if int(slots) != s.cfg.Grid.Slots ||
 		int64(slotLen) != int64(s.cfg.Grid.SlotLen) ||
@@ -389,61 +363,7 @@ func (s *Store) recoverGen(name string) (int64, int64, *recoveredGen, error) {
 		int64(start) != s.cfg.Grid.Start.UnixNano() ||
 		!sameBits(factor, s.cfg.Amplify.Factor) ||
 		!sameBits(ifactor, s.cfg.Amplify.IntervalFactor) {
-		return 0, size, nil, fmt.Errorf("history: %s: config mismatch (written under a different grid/spots/amplification)", name)
+		return nil, fmt.Errorf("history: %s: config mismatch (written under a different grid/spots/amplification)", name)
 	}
-	if base > uint64(maxFrameSize) {
-		return 0, size, nil, nil
-	}
-	if _, err := br.Discard(r.off); err != nil {
-		return 0, size, nil, nil
-	}
-	out := &recoveredGen{baseCount: int(base)}
-	off := int64(r.off)
-	clean := off
-	var fhdr [8]byte
-	var scratch []byte
-	for {
-		if _, err := io.ReadFull(br, fhdr[:]); err != nil {
-			break // clean EOF or torn frame header — either way the tail ends here
-		}
-		plen := binary.LittleEndian.Uint32(fhdr[0:])
-		crc := binary.LittleEndian.Uint32(fhdr[4:])
-		if plen > maxFrameSize {
-			break
-		}
-		if int(plen) > cap(scratch) {
-			scratch = make([]byte, plen)
-		}
-		payload := scratch[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
-		b, err := parseSummaryBlock(payload)
-		if err != nil {
-			break
-		}
-		b.ref.Store(&fileRef{name: name, off: off + 8, size: int(plen), crc: crc})
-		out.frames = append(out.frames, b)
-		off += 8 + int64(plen)
-		clean = off
-	}
-	return clean, size, out, nil
-}
-
-// f64bits reads 8 LE bytes as a uint64 (for the grid-start stamp, which
-// is an int64, not a float).
-func (r *byteReader) f64bits() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.buf) {
-		r.err = errBadBlock
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
+	return &recoveredGen{baseCount: int(base)}, nil
 }

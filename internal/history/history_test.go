@@ -13,6 +13,7 @@ import (
 	"taxiqueue/internal/core"
 	"taxiqueue/internal/geo"
 	"taxiqueue/internal/obs"
+	"taxiqueue/internal/store"
 )
 
 // testConfig builds a small store config: a 48-slot grid, nspots spots
@@ -259,7 +260,7 @@ func TestEncodeSize(t *testing.T) {
 	}
 	total := 0
 	for _, b := range s.pub.Load().blocks {
-		total += len(frameBytes(b.payload))
+		total += store.FrameHeader + len(b.payload)
 	}
 	cells := s.Grid().Slots * s.Spots()
 	perCell := float64(total) / float64(cells)

@@ -2,11 +2,11 @@ package history
 
 import (
 	"container/list"
-	"hash/crc32"
 	"os"
 	"sync"
 
 	"taxiqueue/internal/obs"
+	"taxiqueue/internal/store"
 )
 
 // Lazy block materialization. Open no longer decodes recovered blocks:
@@ -22,27 +22,19 @@ import (
 // decode it (the second insert wins), which is benign: decode is a pure
 // function of the immutable on-disk frame.
 
-// fileRef locates one block's encoded payload inside a generation file.
-// The CRC is re-checked at every load, so a read can never serve bytes
-// that differ from what recovery admitted.
+// fileRef locates one block's frame inside a generation file. The frame
+// is re-verified at every load, so a read can never serve bytes that
+// differ from what recovery admitted.
 type fileRef struct {
 	name string
-	off  int64
-	size int
-	crc  uint32
+	off  int64 // the frame's offset in the file
+	size int   // its payload length
 }
 
-// read fetches and CRC-checks the payload from f (an open handle on
+// read fetches and verifies the payload from f (an open handle on
 // ref.name).
 func (ref *fileRef) read(f *os.File) ([]byte, error) {
-	buf := make([]byte, ref.size)
-	if _, err := f.ReadAt(buf, ref.off); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(buf) != ref.crc {
-		return nil, errBadBlock
-	}
-	return buf, nil
+	return store.ReadFrameAt(f, ref.off, ref.size)
 }
 
 // blockCache is the decoded-block LRU: block identity → decoded records.
@@ -152,7 +144,7 @@ func (s *Store) materialize(b *block) []Record {
 	return nil
 }
 
-// readRef opens, reads and CRC-checks one payload. Reads use the real
+// readRef opens, reads and verifies one payload. Reads use the real
 // filesystem — like recovery and the WAL, only writes go through the
 // fault-injectable cfg.FS.
 func readRef(ref *fileRef) ([]byte, error) {

@@ -89,7 +89,6 @@ func TestHistoryCrashRestartRecovers(t *testing.T) {
 	d := getDay(t)
 	base := d.serviceConfig()
 	base.Shards = 4
-	base.CheckpointEvery = 1 << 30 // checkpoints under test control
 
 	// Fault-free reference.
 	refHist := historyStore(t, d, t.TempDir())

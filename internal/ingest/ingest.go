@@ -25,12 +25,12 @@
 // served labels are byte-identical to a single engine that saw every
 // record.
 //
-// Durability is a segmented append-only WAL (format TQST3): each shard
+// Durability is a segmented append-only WAL (store.OpenWAL): each shard
 // streams every arriving record raw (pre-clean) into its active segment
-// and fsyncs in batches — group commit: one write and one sync cover up to
-// SyncEvery records under load, and the log syncs immediately when the
-// queue goes idle. A checkpoint seals the active segment with an O(1)
-// rename; a background compactor folds small sealed segments so restart
+// and fsyncs in batches — group commit: one CRC-framed write and one sync
+// cover up to SyncEvery records under load, and the log syncs immediately
+// when the queue goes idle. A segment seals with an O(1) rename when it
+// reaches SegmentBytes or a checkpoint asks; a background compactor folds small sealed segments so restart
 // replay cost stays proportional to the data. On startup the service
 // replays each shard's segments in order through a fresh cleaner and
 // engine — the exact live code path — so the recovered state is
@@ -113,21 +113,17 @@ type Config struct {
 	BlockTimeout time.Duration
 	// WALDir, when non-empty, enables durability: shard i appends the raw
 	// records it accepted to segment files under WALDir/shard-NNN/ and
-	// replays them on startup. A legacy WALDir/shard-NNN.tqs single-file
-	// checkpoint is migrated into the segmented format at startup.
+	// replays them on startup.
 	WALDir string
-	// CheckpointEvery is the number of logged records between automatic
-	// WAL checkpoints (sealing the active segment); 4096 when 0.
-	CheckpointEvery int
 	// SyncEvery is the group-commit interval: how many logged records may
 	// accumulate before the WAL fsyncs (it also syncs whenever a shard's
 	// queue goes idle, so a trickle feed is durable almost immediately).
 	// The crash-loss window, in records. 256 when 0.
 	SyncEvery int
-	// SegmentBytes rotates a shard's active WAL segment when it reaches
-	// this size; 4 MiB when 0.
+	// SegmentBytes seals a shard's active WAL segment when it reaches this
+	// size; 4 MiB when 0. Checkpoint, Flush and Close also seal it.
 	SegmentBytes int64
-	// FS is the filesystem the WAL checkpoints go through; the real
+	// FS is the filesystem the WAL writes go through; the real
 	// filesystem when nil. The chaos harness injects disk faults here.
 	FS store.FS
 	// Metrics is the registry the service's collectors live in; a private
@@ -167,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlockTimeout == 0 {
 		c.BlockTimeout = 2 * time.Second
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 4096
 	}
 	if c.SyncEvery == 0 {
 		c.SyncEvery = 256
@@ -300,19 +293,6 @@ func NewService(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("ingest: live spots: %w", err)
 		}
 		s.live = lt
-	}
-	if cfg.WALDir != "" {
-		if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
-			return nil, fmt.Errorf("ingest: wal dir: %w", err)
-		}
-		// A crash between a checkpoint's temp-write and its rename leaves a
-		// stale temp file; the committed copies are unaffected. Sweep them
-		// so they never accumulate or get mistaken for checkpoints.
-		if removed, err := store.RemoveTemps(cfg.WALDir); err != nil {
-			return nil, fmt.Errorf("ingest: wal temp sweep: %w", err)
-		} else if len(removed) > 0 {
-			log.Printf("ingest: swept %d stale checkpoint temp file(s) from %s", len(removed), cfg.WALDir)
-		}
 	}
 	// Publish the epoch-1 snapshot before the shards exist so a replayed
 	// WAL (whose ingest path republishes on watermark advances) never sees

@@ -31,7 +31,6 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 
 	base := d.serviceConfig()
 	base.Shards = 4
-	base.CheckpointEvery = 1 << 30 // checkpoints under test control
 
 	// Reference: one uninterrupted run (durability on, same config).
 	refCfg := base
@@ -87,7 +86,6 @@ func TestGroupCommitClosesTheDurabilityGap(t *testing.T) {
 	k := len(d.raw) / 3
 	cfg := d.serviceConfig()
 	cfg.Shards = 2
-	cfg.CheckpointEvery = 1 << 30
 	cfg.WALDir = t.TempDir()
 
 	svc, err := NewService(cfg)
@@ -365,7 +363,6 @@ func TestCrashRestartResendByteIdentical(t *testing.T) {
 	d := getDay(t)
 	base := d.serviceConfig()
 	base.Shards = 4
-	base.CheckpointEvery = 1 << 30
 
 	refCfg := base
 	refCfg.WALDir = t.TempDir()
@@ -402,4 +399,66 @@ func TestCrashRestartResendByteIdentical(t *testing.T) {
 	}
 	gotL, gotF := snapshot(t, svc2, d)
 	sameContexts(t, "crash+restart+re-send", gotL, gotF, wantL, wantF)
+}
+
+// TestCompactionBoundsSegmentCount: a day of aggressive checkpointing must
+// not leave a segment per checkpoint behind — the background compactor
+// folds runs of small segments, so replay cost stays proportional to the
+// data instead of the checkpoint count.
+func TestCompactionBoundsSegmentCount(t *testing.T) {
+	d := getDay(t)
+	cfg := d.serviceConfig()
+	cfg.Shards = 1
+	dir := t.TempDir()
+	cfg.WALDir = dir
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for recs := d.raw; len(recs) > 0; {
+		n := min(400, len(recs))
+		feed(t, svc, recs[:n])
+		if err := svc.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		recs = recs[n:]
+	}
+	if err := svc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	logged := int64(len(d.raw)) - preWALRejected(svc)
+	if err := svc.Close(); err != nil { // waits out the compactor
+		t.Fatal(err)
+	}
+	st := svc.Stats().Shards[0]
+	if st.Checkpoints < 20 {
+		t.Fatalf("only %d checkpoints, fixture too small to exercise compaction", st.Checkpoints)
+	}
+	if st.Compactions == 0 {
+		t.Fatal("no compactions over a day of 400-record checkpoints")
+	}
+	ents, err := os.ReadDir(shardWALDir(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := 0
+	for _, e := range ents {
+		if name := e.Name(); filepath.Ext(name) == ".seg" && name != "active.seg" {
+			segs++
+		}
+	}
+	if bound := int(st.Checkpoints) / 2; segs >= bound {
+		t.Fatalf("%d sealed segments survive %d checkpoints, want compaction to fold them below %d",
+			segs, st.Checkpoints, bound)
+	}
+
+	// The compacted log still replays every record.
+	svc2, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	if got := svc2.Stats().Replayed; got != logged {
+		t.Fatalf("replayed %d over the compacted log, logged %d", got, logged)
+	}
 }

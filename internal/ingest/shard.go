@@ -3,7 +3,6 @@ package ingest
 import (
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -122,9 +121,6 @@ type shard struct {
 	// the worker stores, Service.Estimate loads.
 	prov atomic.Pointer[stream.Provisional]
 
-	ckptRecs int64 // records logged since the last successful checkpoint
-	nextCkpt int64 // ckptRecs level that triggers the next auto checkpoint
-
 	done chan struct{}
 }
 
@@ -152,33 +148,24 @@ func shardWALDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
-// legacyWALPath is the single-file TQST2 checkpoint location older versions
-// wrote; newShard migrates it into the segmented log on first start.
-func legacyWALPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%03d.tqs", i))
-}
-
 // newShard builds shard i, replaying its segmented WAL if one exists. A
 // torn tail on the last segment — what a crash mid-commit leaves — recovers
 // the longest clean prefix instead of failing startup: the service resumes
 // from the last durable byte and the truncation is counted and logged.
-// Damage to an older sealed segment is real corruption and fails loudly. A
-// legacy single-file TQST2 checkpoint is migrated into the segmented format
-// before the first record arrives.
+// Damage to an older sealed segment is real corruption and fails loudly.
 func newShard(s *Service, i int) (*shard, error) {
 	sh := &shard{
-		id:       i,
-		svc:      s,
-		ch:       make(chan recBatch, s.cfg.QueueDepth),
-		ctl:      make(chan ctlMsg, 4),
-		space:    make(chan struct{}, 1),
-		cleaner:  clean.NewStreamer(s.cfg.Clean),
-		engine:   stream.NewLive(s.cfg.Stream),
-		tails:    make(map[string]*taxiTail),
-		met:      s.met,
-		sm:       &s.met.shards[i],
-		nextCkpt: int64(s.cfg.CheckpointEvery),
-		done:     make(chan struct{}),
+		id:      i,
+		svc:     s,
+		ch:      make(chan recBatch, s.cfg.QueueDepth),
+		ctl:     make(chan ctlMsg, 4),
+		space:   make(chan struct{}, 1),
+		cleaner: clean.NewStreamer(s.cfg.Clean),
+		engine:  stream.NewLive(s.cfg.Stream),
+		tails:   make(map[string]*taxiTail),
+		met:     s.met,
+		sm:      &s.met.shards[i],
+		done:    make(chan struct{}),
 	}
 	if s.cfg.WALDir == "" {
 		return sh, nil
@@ -205,78 +192,22 @@ func newShard(s *Service, i int) (*shard, error) {
 			s.met.walSync.Observe(took.Seconds())
 		},
 	}
-	if _, err := os.Stat(legacyWALPath(s.cfg.WALDir, i)); err == nil {
-		if err := sh.migrateLegacyWAL(walCfg); err != nil {
-			return nil, fmt.Errorf("ingest: shard %d wal migration: %w", i, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("ingest: shard %d wal: %w", i, err)
-	} else {
-		var n int64
-		wal, rec, err := store.OpenWAL(sh.walDir, walCfg, func(r mdt.Record) {
-			sh.trackTail(sh.tails[r.TaxiID], r)
-			sh.pushClean(r)
-			n++
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ingest: shard %d recovery: %w", i, err)
-		}
-		sh.wal = wal
-		sh.sm.replayed.Add(n)
-		if rec.Truncated() {
-			sh.sm.walTruncations.Inc()
-			log.Printf("ingest: shard %d WAL %s damaged (%v): recovered %d records, torn tail truncated",
-				i, sh.walDir, rec.Err, rec.Records)
-		}
+	wal, rec, err := store.OpenWAL(sh.walDir, walCfg, func(r mdt.Record) {
+		sh.trackTail(sh.tails[r.TaxiID], r)
+		sh.pushClean(r)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ingest: shard %d recovery: %w", i, err)
+	}
+	sh.wal = wal
+	sh.sm.replayed.Add(int64(rec.Records))
+	if rec.Truncated() {
+		sh.sm.walTruncations.Inc()
+		log.Printf("ingest: shard %d WAL %s damaged (%v): recovered %d records, torn tail truncated",
+			i, sh.walDir, rec.Err, rec.Records)
 	}
 	sh.sm.walSegments.Set(int64(sh.wal.Stats().Segments))
 	return sh, nil
-}
-
-// migrateLegacyWAL converts a TQST2 single-file checkpoint into the
-// segmented log: recover it (tolerantly — it may carry a torn tail from the
-// old format's crash window), replay it through the live path, stream every
-// record into a fresh segment directory and seal it durable, and only then
-// remove the legacy file. A crash mid-migration re-runs it from the intact
-// legacy file; the partial segment directory is discarded.
-func (sh *shard) migrateLegacyWAL(walCfg store.WALConfig) error {
-	legacy := legacyWALPath(sh.svc.cfg.WALDir, sh.id)
-	st, rec, err := store.RecoverFile(legacy)
-	if err != nil {
-		return err
-	}
-	if rec.Truncated() {
-		sh.sm.walTruncations.Inc()
-		log.Printf("ingest: shard %d legacy WAL %s damaged (%v): migrating %d recovered records",
-			sh.id, legacy, rec.Err, rec.Records)
-	}
-	if err := os.RemoveAll(sh.walDir); err != nil {
-		return err
-	}
-	wal, _, err := store.OpenWAL(sh.walDir, walCfg, nil)
-	if err != nil {
-		return err
-	}
-	var n int64
-	st.Scan(time.Time{}, time.Unix(1<<40, 0), func(r mdt.Record) bool {
-		sh.trackTail(sh.tails[r.TaxiID], r)
-		sh.pushClean(r)
-		wal.Append(r)
-		n++
-		return true
-	})
-	if err := wal.Seal(); err != nil {
-		wal.Close()
-		return err
-	}
-	if err := os.Remove(legacy); err != nil {
-		wal.Close()
-		return err
-	}
-	sh.wal = wal
-	sh.sm.replayed.Add(n)
-	log.Printf("ingest: shard %d migrated %d records from legacy WAL %s", sh.id, n, legacy)
-	return nil
 }
 
 // trackTail folds one ordering-accepted record into its taxi's tail window
@@ -525,14 +456,6 @@ func (sh *shard) process(rec mdt.Record, tail *taxiTail) *taxiTail {
 			sh.sm.ckptErrors.Inc()
 			log.Printf("ingest: shard %d wal rotation: %v", sh.id, err)
 		}
-		if sh.ckptRecs++; sh.ckptRecs >= sh.nextCkpt {
-			if err := sh.checkpoint(); err != nil {
-				// A checkpoint attempt per record would hammer a sick disk;
-				// back off by one interval and keep serving — the records
-				// are safe in memory and re-covered by the next success.
-				sh.nextCkpt += int64(sh.svc.cfg.CheckpointEvery)
-			}
-		}
 	}
 	sh.pushClean(rec)
 	return tail
@@ -623,10 +546,9 @@ func (sh *shard) refreshEngineGauges() {
 }
 
 // checkpoint makes everything logged so far durable and seals the active
-// segment — an O(1) rename however many records the shard has ever seen,
-// where the old single-file format rewrote the entire store. A failed seal
-// leaves the log consistent (the segment keeps growing), is counted, and
-// is retried by the next checkpoint trigger.
+// segment — an O(1) rename however many records the shard has ever seen.
+// A failed seal leaves the log consistent (the segment keeps growing), is
+// counted, and is retried by the next checkpoint.
 func (sh *shard) checkpoint() error {
 	if sh.wal == nil {
 		return nil
@@ -641,8 +563,6 @@ func (sh *shard) checkpoint() error {
 	st := sh.wal.Stats()
 	sh.sm.walPending.Set(int64(st.Pending))
 	sh.sm.walSegments.Set(int64(st.Segments))
-	sh.ckptRecs = 0
-	sh.nextCkpt = int64(sh.svc.cfg.CheckpointEvery)
 	sh.sm.checkpoints.Inc()
 	return nil
 }

@@ -42,7 +42,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					writeSample(bw, f.name, "", ls, s.fn())
 				}
 			case kindHistogram:
-				writeHistogram(bw, f.name, ls, s.h)
+				if s.h != nil { // Histogram sets it just after lookup publishes s
+					writeHistogram(bw, f.name, ls, s.h)
+				}
 			}
 		}
 	}

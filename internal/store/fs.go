@@ -5,11 +5,11 @@ import (
 	"os"
 )
 
-// FS abstracts the handful of filesystem operations the store's durability
-// path uses (SaveFileFS / RemoveTemps). Production code uses OS; the chaos
-// harness substitutes a fault-injecting implementation to simulate short
-// writes, fsync failures and crashes between temp-write and rename without
-// touching the real syscall layer.
+// FS abstracts the handful of filesystem operations the durable write
+// paths use (the WAL, SaveFile and the history store). Production code
+// uses OS; the chaos harness substitutes a fault-injecting implementation
+// to simulate short writes, fsync failures and crashes between temp-write
+// and rename without touching the real syscall layer.
 type FS interface {
 	// Create creates (or truncates) the named file for writing — the WAL's
 	// active segment goes through this, so injected write/sync faults land
@@ -23,7 +23,7 @@ type FS interface {
 	Remove(name string) error
 }
 
-// File is the open-file surface SaveFileFS needs.
+// File is the open-file surface the write paths need.
 type File interface {
 	io.Writer
 	io.Closer

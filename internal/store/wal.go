@@ -1,9 +1,7 @@
 package store
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,15 +14,12 @@ import (
 	"taxiqueue/internal/mdt"
 )
 
-// The segmented write-ahead log (format TQST3). Where the single-file TQST2
-// checkpoint rewrites the whole store on every save — total checkpoint I/O
-// quadratic in the records of a day — the WAL only ever appends: records
-// buffer into the active segment and become durable in batches (group
-// commit: one write + one fsync covers every record since the last commit),
-// the active segment is sealed by an O(1) rename when it fills or a
-// checkpoint asks, and a background compactor folds runs of small sealed
-// segments so replay cost at restart stays proportional to the data, not to
-// the checkpoint count.
+// The segmented write-ahead log. Records buffer into the active segment and
+// become durable in batches (group commit: one write + one fsync covers
+// every record since the last commit). The active segment is sealed by an
+// O(1) rename when it reaches SegmentBytes or a checkpoint asks, and a
+// background compactor folds runs of small sealed segments so replay cost
+// at restart stays proportional to the data, not to the seal count.
 //
 // On-disk layout, one directory per log:
 //
@@ -33,32 +28,29 @@ import (
 //	                        contiguous range of seal sequence numbers the
 //	                        file covers (compaction merges ranges)
 //
-// Every file is an 8-byte TQST3 magic header followed by raw mdt binary
-// frames in append order. Recovery replays sealed segments in range order,
-// strictly — a sealed segment was fsynced before its rename, so damage
-// there is real corruption and fails loudly. Only the *last* segment (the
-// active one, or the newest sealed when no active file exists) gets the
-// longest-clean-prefix tolerance: a torn tail is what a crash mid-commit
-// legitimately leaves, so the file is truncated to its clean prefix, the
-// damage is reported, and the log continues from there.
+// Every file is the 8-byte segment magic followed by frames (frame.go);
+// each group-commit write is one frame holding the batch's mdt binary
+// records. Recovery replays sealed segments in range order, strictly — a
+// sealed segment was fsynced before its rename, so damage there (a torn
+// or bit-flipped frame) is real corruption and fails loudly. Only the
+// *last* segment (the active one, or the newest sealed when no active file
+// exists) gets the longest-clean-prefix tolerance: a torn tail is what a
+// crash mid-commit legitimately leaves, so the file is truncated to its
+// last whole frame, the damage is reported, and the log continues from
+// there. A frame is replayed whole or not at all.
 //
 // Compaction is crash-safe by naming: a merged file covers the exact range
-// of its sources and is written temp-then-rename, so a crash at any point
-// leaves either the sources, or the merged file plus redundant sources
-// whose ranges it contains — OpenWAL deletes contained files. A merge is
-// only picked when it at least doubles the largest source, so a byte is
-// rewritten O(log) times however long the log runs.
-
-// walMagic is the TQST3 segment-file header.
-var walMagic = [8]byte{'T', 'Q', 'S', 'T', '3', 0, 0, 0}
+// of its sources and is written with SaveFile (temp, fsync, rename), so a
+// crash at any point leaves either the sources, or the merged file plus
+// redundant sources whose ranges it contains — OpenWAL deletes contained
+// files. A merge is only picked when it at least doubles the largest
+// source, so a byte is rewritten O(log) times however long the log runs.
 
 const (
 	walActiveName = "active.seg"
 	walSegPrefix  = "seg-"
 	walSegSuffix  = ".seg"
 )
-
-var errBadSegment = errors.New("store: bad segment file")
 
 // WALConfig parameterizes a segmented log.
 type WALConfig struct {
@@ -110,7 +102,8 @@ type WAL struct {
 
 	active     File   // nil until the first commit after open/seal
 	activeSize int64  // bytes written to the active file so far
-	buf        []byte // encoded records (plus header) awaiting write
+	buf        []byte // encoded records of the next frame
+	out        []byte // framed bytes (plus header) awaiting write
 	pending    int    // records appended since the last successful write-out
 	sealDefer  int64  // don't retry a failed rotation until this size
 
@@ -125,9 +118,9 @@ type WAL struct {
 	// the syncer; syncCond signals fsync completion to synchronous commits.
 	syncMu   sync.Mutex
 	syncCond *sync.Cond
-	syncing  bool  // the syncer is inside an fsync right now
-	unsynced int    // records written to the active file but not yet fsynced
-	syncErr  error  // sticky async fsync failure, surfaced on the next commit
+	syncing  bool          // the syncer is inside an fsync right now
+	unsynced int           // records written to the active file but not yet fsynced
+	syncErr  error         // sticky async fsync failure, surfaced on the next commit
 	syncReq  chan struct{} // cap-1 coalescing wakeup; nil until first CommitAsync
 	syncWG   sync.WaitGroup
 
@@ -141,8 +134,6 @@ type WAL struct {
 // WALStats is a point-in-time view of the log's shape and write volume.
 type WALStats struct {
 	Segments     int   // sealed segment files on disk
-	SealedBytes  int64 // bytes across sealed segments
-	ActiveBytes  int64 // bytes written to the active segment
 	Pending      int   // records appended but not yet fsynced
 	BytesWritten int64 // total bytes written since open, compaction included
 	Compactions  int64 // completed compaction merges
@@ -232,69 +223,65 @@ func OpenWAL(dir string, cfg WALConfig, replay func(mdt.Record)) (*WAL, Recovery
 
 	w := &WAL{dir: dir, cfg: cfg, nextSeq: next}
 	w.syncCond = sync.NewCond(&w.syncMu)
+	// Replay sealed segments strictly; only the very last file on disk —
+	// the active segment, or else the newest sealed one — may be
+	// tolerantly truncated.
 	var rec Recovery
-	// Replay sealed segments strictly; only the very last file on disk may
-	// be tolerantly truncated.
-	for i, sg := range segs {
-		last := activePath == "" && i == len(segs)-1
-		n, clean, damage, err := readSegment(sg.path, replay)
+	tail := walSeg{path: activePath}
+	if activePath == "" && len(segs) > 0 {
+		tail, segs = segs[len(segs)-1], segs[:len(segs)-1]
+	}
+	for _, sg := range segs {
+		n, _, damage, err := readSegment(sg.path, replay)
 		rec.Records += n
+		if err == nil && damage != nil {
+			err = fmt.Errorf("store: sealed wal segment %s damaged: %w", filepath.Base(sg.path), damage)
+		}
 		if err != nil {
 			return nil, rec, err
-		}
-		if damage != nil {
-			if !last {
-				return nil, rec, fmt.Errorf("store: sealed wal segment %s damaged: %w",
-					filepath.Base(sg.path), damage)
-			}
-			rec.Err = fmt.Errorf("store: wal segment %s: %w", filepath.Base(sg.path), damage)
-			rec.TruncatedAt = filepath.Base(sg.path)
-			if clean <= int64(len(walMagic)) || n == 0 {
-				if err := cfg.FS.Remove(sg.path); err != nil {
-					return nil, rec, fmt.Errorf("store: wal drop empty segment: %w", err)
-				}
-				w.nextSeq = sg.lo
-				continue
-			}
-			if err := os.Truncate(sg.path, clean); err != nil {
-				return nil, rec, fmt.Errorf("store: wal truncate %s: %w", filepath.Base(sg.path), err)
-			}
-			sg.bytes = clean
 		}
 		w.sealed = append(w.sealed, sg)
 	}
-	// The recovered active segment: truncate any torn tail, then seal it
-	// (or drop it when empty) so the new process always starts a fresh
-	// active file and never appends to bytes it did not write.
-	if activePath != "" {
-		n, clean, damage, err := readSegment(activePath, replay)
-		rec.Records += n
-		if err != nil {
-			return nil, rec, err
+	if tail.path == "" {
+		return w, rec, nil
+	}
+	n, clean, damage, err := readSegment(tail.path, replay)
+	rec.Records += n
+	if err != nil {
+		return nil, rec, err
+	}
+	if damage != nil {
+		rec.Err = fmt.Errorf("store: wal %s: %w", filepath.Base(tail.path), damage)
+	}
+	if n == 0 {
+		// Nothing survived: drop the file, and reuse a sealed tail's range.
+		if err := cfg.FS.Remove(tail.path); err != nil {
+			return nil, rec, fmt.Errorf("store: wal drop empty tail: %w", err)
 		}
-		if damage != nil {
-			rec.Err = fmt.Errorf("store: wal active segment: %w", damage)
-			rec.TruncatedAt = walActiveName
+		if tail.lo != 0 {
+			w.nextSeq = tail.lo
 		}
-		if n == 0 {
-			if err := cfg.FS.Remove(activePath); err != nil {
-				return nil, rec, fmt.Errorf("store: wal drop empty active: %w", err)
-			}
-		} else {
-			if damage != nil {
-				if err := os.Truncate(activePath, clean); err != nil {
-					return nil, rec, fmt.Errorf("store: wal truncate active: %w", err)
-				}
-			}
-			seq := w.nextSeq
-			sealedPath := filepath.Join(dir, segName(seq, seq))
-			if err := cfg.FS.Rename(activePath, sealedPath); err != nil {
-				return nil, rec, fmt.Errorf("store: wal seal recovered active: %w", err)
-			}
-			w.sealed = append(w.sealed, walSeg{lo: seq, hi: seq, path: sealedPath, bytes: clean})
-			w.nextSeq = seq + 1
+		return w, rec, nil
+	}
+	if damage != nil {
+		if err := os.Truncate(tail.path, clean); err != nil {
+			return nil, rec, fmt.Errorf("store: wal truncate %s: %w", filepath.Base(tail.path), err)
 		}
 	}
+	tail.bytes = clean
+	if tail.lo == 0 {
+		// Seal the recovered active segment, so the new process always
+		// starts a fresh active file and never appends to bytes it did not
+		// write.
+		seq := w.nextSeq
+		sealedPath := filepath.Join(dir, segName(seq, seq))
+		if err := cfg.FS.Rename(tail.path, sealedPath); err != nil {
+			return nil, rec, fmt.Errorf("store: wal seal recovered active: %w", err)
+		}
+		tail = walSeg{lo: seq, hi: seq, path: sealedPath, bytes: clean}
+		w.nextSeq = seq + 1
+	}
+	w.sealed = append(w.sealed, tail)
 	return w, rec, nil
 }
 
@@ -325,50 +312,27 @@ func dropContained(fsys FS, segs []walSeg) ([]walSeg, error) {
 	return keep, nil
 }
 
-// readSegment replays one segment file. The hard error return is for files
-// that were never a segment (wrong magic); structural damage past a valid
-// header — a torn tail — comes back in damage with clean naming the byte
-// length of the longest valid prefix, every record of which was replayed.
+// readSegment replays one segment file (see scanSegment).
 func readSegment(path string, replay func(mdt.Record)) (n int, clean int64, damage, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("store: wal read %s: %w", filepath.Base(path), err)
 	}
-	if len(data) < len(walMagic) {
-		// Shorter than a header: a creation the crash tore. Nothing in it
-		// was ever acknowledged, so it is damage, not corruption.
-		return 0, 0, fmt.Errorf("store: torn segment header: %w", io.ErrUnexpectedEOF), nil
+	defer f.Close()
+	n, clean, damage, err = scanSegment(f, replay)
+	if err != nil {
+		err = fmt.Errorf("store: wal %s: %w", filepath.Base(path), err)
 	}
-	if [8]byte(data[:len(walMagic)]) != walMagic {
-		return 0, 0, nil, fmt.Errorf("store: wal %s: %w", filepath.Base(path), errBadSegment)
-	}
-	off := int64(len(walMagic))
-	body := data[off:]
-	for len(body) > 0 {
-		r, sz, err := mdt.DecodeBinary(body)
-		if err != nil {
-			return n, off, fmt.Errorf("store: frame %d: %w", n, err), nil
-		}
-		if replay != nil {
-			replay(r)
-		}
-		n++
-		off += int64(sz)
-		body = body[sz:]
-	}
-	return n, off, nil, nil
+	return n, clean, damage, err
 }
 
 // Append buffers one record. The record is always retained; a non-nil error
 // reports a failed size-triggered rotation (the log keeps appending to the
 // oversized active segment and retries the rotation later).
 func (w *WAL) Append(r mdt.Record) error {
-	if w.active == nil && len(w.buf) == 0 {
-		w.buf = append(w.buf, walMagic[:]...)
-	}
 	w.buf = r.AppendBinary(w.buf)
 	w.pending++
-	if size := w.activeSize + int64(len(w.buf)); size >= w.cfg.SegmentBytes && size >= w.sealDefer {
+	if size := w.activeSize + int64(len(w.out)+FrameHeader+len(w.buf)); size >= w.cfg.SegmentBytes && size >= w.sealDefer {
 		if err := w.Seal(); err != nil {
 			// Retrying a sick disk on every subsequent append would hammer
 			// it; let the segment grow another quarter-threshold first.
@@ -389,13 +353,20 @@ func (w *WAL) Pending() int {
 	return w.pending + n
 }
 
-// flushBuf writes every buffered record to the active file (creating it on
-// first use), moving them from pending to unsynced — on disk, not yet
-// durable. On a partial write the unwritten suffix stays buffered; the
-// write was sequential, so the file still ends exactly where the retry
-// resumes.
+// flushBuf frames every buffered record and writes the frame to the active
+// file (creating it on first use), moving the records from pending to
+// unsynced — on disk, not yet durable. On a partial write the unwritten
+// suffix stays buffered; the write was sequential, so the file still ends
+// exactly where the retry resumes.
 func (w *WAL) flushBuf() error {
-	if len(w.buf) == 0 {
+	if len(w.buf) > 0 {
+		if w.active == nil && len(w.out) == 0 {
+			w.out = append(w.out, segmentMagic[:]...)
+		}
+		w.out = AppendFrame(w.out, w.buf)
+		w.buf = w.buf[:0]
+	}
+	if len(w.out) == 0 {
 		return nil
 	}
 	if w.active == nil {
@@ -407,14 +378,14 @@ func (w *WAL) flushBuf() error {
 		w.active = f
 		w.syncMu.Unlock()
 	}
-	n, err := w.active.Write(w.buf)
+	n, err := w.active.Write(w.out)
 	w.activeSize += int64(n)
 	w.bytesWritten.Add(int64(n))
 	if err != nil {
-		w.buf = w.buf[:copy(w.buf, w.buf[n:])]
+		w.out = w.out[:copy(w.out, w.out[n:])]
 		return fmt.Errorf("store: wal write: %w", err)
 	}
-	w.buf = w.buf[:0]
+	w.out = w.out[:0]
 	w.syncMu.Lock()
 	w.unsynced += w.pending
 	w.syncMu.Unlock()
@@ -441,10 +412,7 @@ func (w *WAL) Commit() error {
 	f := w.active
 	if err != nil || n == 0 || f == nil {
 		w.syncMu.Unlock()
-		if err != nil {
-			return err
-		}
-		return nil
+		return err
 	}
 	w.syncing = true // excludes the syncer until this fsync resolves
 	w.syncMu.Unlock()
@@ -546,7 +514,7 @@ func (w *WAL) Seal() error {
 	if err := w.Commit(); err != nil {
 		return err
 	}
-	if w.active == nil || w.activeSize <= int64(len(walMagic)) {
+	if w.active == nil || w.activeSize <= int64(len(segmentMagic)) {
 		return nil
 	}
 	w.mu.Lock()
@@ -608,23 +576,19 @@ func (w *WAL) Abort() {
 		w.active.Close()
 		w.active = nil
 	}
-	w.buf = nil
+	w.buf, w.out = nil, nil
 	w.pending = 0
 }
 
 // Stats snapshots the log's shape.
 func (w *WAL) Stats() WALStats {
 	st := WALStats{
-		ActiveBytes:  w.activeSize,
 		Pending:      w.Pending(),
 		BytesWritten: w.bytesWritten.Load(),
 		Compactions:  w.compactions.Load(),
 	}
 	w.mu.Lock()
 	st.Segments = len(w.sealed)
-	for _, sg := range w.sealed {
-		st.SealedBytes += sg.bytes
-	}
 	w.mu.Unlock()
 	return st
 }
@@ -679,58 +643,28 @@ func (w *WAL) pickRun() []walSeg {
 	return nil
 }
 
-// mergeRun rewrites run into one segment covering its combined range:
-// temp-write, fsync, rename, then splice the in-memory list and delete the
-// sources. A crash anywhere leaves a recoverable directory (see OpenWAL's
-// contained-range sweep).
+// mergeRun rewrites run into one segment covering its combined range with
+// SaveFile (temp-write, fsync, rename), then splices the in-memory list and
+// deletes the sources. Frames are self-contained, so the merged file is the
+// magic plus the sources' frames verbatim. A crash anywhere leaves a
+// recoverable directory (see OpenWAL's contained-range sweep).
 func (w *WAL) mergeRun(run []walSeg) (int, error) {
 	lo, hi := run[0].lo, run[len(run)-1].hi
-	f, err := w.cfg.FS.CreateTemp(w.dir, walSegPrefix+tempSuffix+"-*")
-	if err != nil {
-		return 0, fmt.Errorf("store: compact temp: %w", err)
-	}
-	tmp := f.Name()
-	cleanup := func() { f.Close(); w.cfg.FS.Remove(tmp) }
-	written := int64(0)
-	if n, err := f.Write(walMagic[:]); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("store: compact write: %w", err)
-	} else {
-		written += int64(n)
-	}
+	data := append([]byte(nil), segmentMagic[:]...)
 	for _, sg := range run {
-		data, err := os.ReadFile(sg.path)
+		src, err := os.ReadFile(sg.path)
 		if err != nil {
-			cleanup()
 			return 0, fmt.Errorf("store: compact read: %w", err)
 		}
-		if len(data) < len(walMagic) || [8]byte(data[:len(walMagic)]) != walMagic {
-			cleanup()
+		if len(src) < len(segmentMagic) || [8]byte(src[:len(segmentMagic)]) != segmentMagic {
 			return 0, fmt.Errorf("store: compact source %s: %w", filepath.Base(sg.path), errBadSegment)
 		}
-		n, err := f.Write(data[len(walMagic):])
-		written += int64(n)
-		if err != nil {
-			cleanup()
-			return 0, fmt.Errorf("store: compact write: %w", err)
-		}
+		data = append(data, src[len(segmentMagic):]...)
 	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("store: compact sync: %w", err)
-	}
-	if err := f.Chmod(0o644); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("store: compact chmod: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		w.cfg.FS.Remove(tmp)
-		return 0, fmt.Errorf("store: compact close: %w", err)
-	}
+	written := int64(len(data))
 	merged := walSeg{lo: lo, hi: hi, path: filepath.Join(w.dir, segName(lo, hi)), bytes: written}
-	if err := w.cfg.FS.Rename(tmp, merged.path); err != nil {
-		w.cfg.FS.Remove(tmp)
-		return 0, fmt.Errorf("store: compact rename: %w", err)
+	if err := SaveFile(w.cfg.FS, merged.path, data); err != nil {
+		return 0, fmt.Errorf("store: compact: %w", err)
 	}
 	w.bytesWritten.Add(written)
 	w.mu.Lock()

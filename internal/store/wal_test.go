@@ -168,7 +168,7 @@ func TestWALCrashCutReplaysLongestCleanPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offsets := []int64{int64(len(walMagic))}
+	offsets := []int64{int64(len(segmentMagic))}
 	for _, r := range recs {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
@@ -197,7 +197,7 @@ func TestWALCrashCutReplaysLongestCleanPrefix(t *testing.T) {
 		sameRecords(t, got, recs[:n])
 		// A cut exactly on a frame boundary (header included) is clean;
 		// anything else must be reported as a truncation.
-		clean := cut >= int64(len(walMagic)) && offsets[n] == cut
+		clean := cut >= int64(len(segmentMagic)) && offsets[n] == cut
 		if clean == rcv.Truncated() {
 			t.Fatalf("cut %d: Truncated = %v, clean frames %d", cut, rcv.Truncated(), n)
 		}
@@ -274,8 +274,9 @@ func TestWALTornLastSealedSegmentTolerated(t *testing.T) {
 	if !rcv.Truncated() {
 		t.Fatal("torn last segment not reported")
 	}
-	if len(got) <= 20 || len(got) >= 40 {
-		t.Fatalf("replayed %d records, want a strict prefix above the first segment", len(got))
+	// The torn frame is dropped whole; the first segment survives.
+	if len(got) < 20 || len(got) >= 40 {
+		t.Fatalf("replayed %d records, want a strict prefix covering the first segment", len(got))
 	}
 	sameRecords(t, got, recs[:len(got)])
 	// The truncation is persisted: a second open is clean and identical.
@@ -373,13 +374,13 @@ func TestWALOpenSweepsCompactionLeftovers(t *testing.T) {
 		t.Fatalf("want 4 segments, got %v", segs)
 	}
 	var merged []byte
-	merged = append(merged, walMagic[:]...)
+	merged = append(merged, segmentMagic[:]...)
 	for _, name := range segs[:3] {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged = append(merged, data[len(walMagic):]...)
+		merged = append(merged, data[len(segmentMagic):]...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, segName(1, 3)), merged, 0o644); err != nil {
 		t.Fatal(err)
@@ -445,9 +446,10 @@ func TestWALStatsTrackWriteVolume(t *testing.T) {
 		t.Fatalf("Segments = %d, want 20", st.Segments)
 	}
 	// Append-only with compaction off: total bytes written is the payload
-	// plus one 8-byte header per segment — independent of how many seals
-	// (checkpoints) happened, the O(1)-amortized-checkpoint property.
-	want := int64(payload) + 20*int64(len(walMagic))
+	// plus one magic and one frame header per segment (each seal commits
+	// its records as one frame) — independent of how many records were
+	// sealed before, the O(1)-amortized-checkpoint property.
+	want := int64(payload) + 20*int64(len(segmentMagic)+FrameHeader)
 	if st.BytesWritten != want {
 		t.Fatalf("BytesWritten = %d, want %d", st.BytesWritten, want)
 	}

@@ -1,8 +1,8 @@
 package taxiqueue
 
 // Cross-module integration tests: the full production data path including
-// the embedded store's persistence layer, exactly as cmd/mdtgen +
-// cmd/queuectl compose it.
+// the store's segment file format, exactly as cmd/mdtgen + cmd/queuectl
+// compose it.
 
 import (
 	"bytes"
@@ -21,36 +21,19 @@ import (
 )
 
 func TestPipelineThroughStore(t *testing.T) {
-	// Simulate -> persist to the binary store -> reload -> scan -> clean
-	// -> analyze. The result must be identical to analyzing the in-memory
+	// Simulate -> encode as a segment file -> read back -> clean ->
+	// analyze. The result must be identical to analyzing the in-memory
 	// records directly.
 	city := citymap.Generate(900, 0.1)
 	out := sim.Run(sim.Config{Seed: 900, City: city, InjectFaults: true,
 		Duration: 12 * time.Hour})
 
-	st := store.New()
-	if err := st.AppendAll(out.Records); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := store.Load(&buf)
+	scanned, err := store.ReadSegment(bytes.NewReader(store.EncodeSegment(out.Records)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != len(out.Records) {
-		t.Fatalf("store round trip lost records: %d vs %d", loaded.Len(), len(out.Records))
-	}
-	var scanned []mdt.Record
-	loaded.Scan(out.Config.Start, out.Config.Start.Add(out.Config.Duration).Add(time.Second),
-		func(r mdt.Record) bool {
-			scanned = append(scanned, r)
-			return true
-		})
 	if len(scanned) != len(out.Records) {
-		t.Fatalf("scan returned %d of %d records", len(scanned), len(out.Records))
+		t.Fatalf("segment round trip returned %d of %d records", len(scanned), len(out.Records))
 	}
 
 	cfg := core.DefaultEngineConfig()

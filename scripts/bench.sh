@@ -4,13 +4,15 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR10.json
+#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_micro.json
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
 #
-# The CI box is a 1-CPU VM with noisy neighbours: wall-clock numbers swing
-# 2-4x minute to minute (fsync latency especially). BENCH_COUNT > 1 runs
+# These are micro-benchmarks; the end-to-end benchmark is perfbench/run.sh
+# (see BENCHMARK.json). The CI box is a 2-CPU VM with noisy neighbours:
+# wall-clock numbers swing minute to minute (fsync latency especially),
+# so one run is not evidence. BENCH_COUNT > 1 runs
 # every suite N times and records each benchmark's *minimum* ns/op — the
 # least-interference estimate, which is the comparable number across PRs.
 #
@@ -19,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR10.json}"
+out="${BENCH_OUT:-BENCH_micro.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"
